@@ -14,20 +14,16 @@ import (
 type benchArtifact struct {
 	Pair       string                        `json:"pair"`
 	Benchmarks map[string]map[string]float64 `json:"benchmarks"`
-	// Speedup is the legacy two-benchmark form (BENCH_6).
-	Speedup float64 `json:"speedup_admissions_per_sec"`
-	// Baseline and Speedups are the generalized form (BENCH_7+).
-	Baseline string             `json:"baseline"`
-	Speedups map[string]float64 `json:"speedups_admissions_per_sec"`
+	Baseline   string                        `json:"baseline"`
+	Speedups   map[string]float64            `json:"speedups_admissions_per_sec"`
 }
 
 // benchBar is one acceptance bar: the named speedup in the named
 // artifact must stay at or above Min.
 type benchBar struct {
 	file string
-	// key selects within Speedups; empty means the legacy scalar.
-	key string
-	min float64
+	key  string // selects within Speedups
+	min  float64
 }
 
 // benchBars are the perf-trajectory acceptance bars. Each checked-in
@@ -40,7 +36,7 @@ type benchBar struct {
 // regression — losing batching, breaking the fleet router — still
 // trips it.
 var benchBars = []benchBar{
-	{file: "BENCH_6.json", key: "", min: 1.3},
+	{file: "BENCH_6.json", key: "BenchmarkAdmissionBatched", min: 1.3},
 	{file: "BENCH_7.json", key: "BenchmarkFleetAdmission2", min: 1.7},
 	{file: "BENCH_7.json", key: "BenchmarkFleetAdmission4", min: 3.0},
 	// The journal must stay nearly free: ≥0.9x the bare fault-churn
@@ -126,12 +122,6 @@ func TestBenchTrajectory(t *testing.T) {
 
 // lookup resolves the bar's speedup value inside the artifact.
 func (b benchBar) lookup(a *benchArtifact) (float64, string, error) {
-	if b.key == "" {
-		if a.Speedup == 0 {
-			return 0, "", fmt.Errorf("missing speedup_admissions_per_sec")
-		}
-		return a.Speedup, "speedup_admissions_per_sec", nil
-	}
 	v, ok := a.Speedups[b.key]
 	if !ok {
 		return 0, "", fmt.Errorf("missing %q in speedups_admissions_per_sec", b.key)

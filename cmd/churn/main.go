@@ -16,8 +16,6 @@
 //	go run ./cmd/churn -regionsize 4         # region-sharded commit path
 //	go run ./cmd/churn -priomix 70:20:10     # mixed admission classes, preemption on
 //	go run ./cmd/churn -priomix 70:20:10 -preempt=false  # priority queue only
-//	go run ./cmd/churn -cow=false            # per-admission deep-copy snapshots
-//	go run ./cmd/churn -epoch=false          # CoW snapshots, no epoch sharing
 //	go run ./cmd/churn -regionsize 4 -batch 8  # merged multi-application commits
 //	go run ./cmd/churn -meshes 4             # fleet: 4 federated meshes, routed admission
 //	go run ./cmd/churn -meshes 4 -rebalance 5ms  # with background hot->cold rebalancing
@@ -49,11 +47,8 @@ var (
 	period    = flag.Int64("period", 40_000, "QoS period in ns")
 	resident  = flag.Int("resident", 0, "applications kept running at once (0 = 2x workers)")
 	regions   = flag.Int("regionsize", 0, "shard the commit path: mesh-region side length (0 = one global region)")
-	globalOne = flag.Bool("globallock", false, "keep -regionsize's workload but commit through one global lock (sharding ablation)")
 	reuse     = flag.Bool("reuse", true, "reuse mapping templates for recurring structures")
 	repair    = flag.Bool("repair", true, "repair stale mappings instead of re-mapping from scratch")
-	cow       = flag.Bool("cow", true, "copy-on-write snapshots (off = per-admission deep copies, the snapshot ablation)")
-	epoch     = flag.Bool("epoch", true, "share one frozen base snapshot per pipeline epoch (needs -cow)")
 	batch     = flag.Int("batch", 0, "drain up to K queued arrivals into one merged multi-application commit (<=1 = per-item admission)")
 	priomix   = flag.String("priomix", "", "mixed admission classes as bestEffort:standard:critical weights, e.g. 70:20:10 (empty = all best-effort)")
 	preempt   = flag.Bool("preempt", true, "let full-mesh priority arrivals preempt lower classes (relocation before eviction)")
@@ -78,11 +73,8 @@ func options() churn.Options {
 		PeriodNs:   *period,
 		Resident:   *resident,
 		RegionSize: *regions,
-		GlobalLock: *globalOne,
 		Reuse:      *reuse,
 		Repair:     *repair,
-		CoW:        *cow,
-		Epoch:      *epoch,
 		Batch:      *batch,
 		PrioMix:    *priomix,
 		Preempt:    *preempt,
@@ -182,19 +174,10 @@ func report(label string, r churn.Result) {
 
 // validateFlags fails fast on flag combinations that would silently run
 // a different scenario than the one asked for, instead of surfacing as a
-// confusing report later. Defaults never trip it: only explicitly set
-// flags are held against each other.
+// confusing report later. Defaults never trip it.
 func validateFlags() error {
-	set := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *batch < 0 {
 		return fmt.Errorf("churn: -batch %d is negative (use 0 or 1 for per-item admission)", *batch)
-	}
-	if set["globallock"] && *globalOne && *regions <= 0 {
-		return fmt.Errorf("churn: -globallock is the sharding ablation of -regionsize; give -regionsize a positive value")
-	}
-	if set["epoch"] && *epoch && set["cow"] && !*cow {
-		return fmt.Errorf("churn: -epoch needs -cow; epoch sharing only works on copy-on-write snapshots")
 	}
 	if *meshes < 1 {
 		return fmt.Errorf("churn: -meshes %d; need at least one mesh", *meshes)

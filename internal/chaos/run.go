@@ -245,7 +245,7 @@ func Run(script Script, o Options) (Report, error) {
 // spike wrapper, stream server, door and collector.
 func (r *runner) boot() (*incarnation, error) {
 	pipe := manager.NewPipeline(r.m, r.o.Workers, r.o.Queue)
-	spike := &spikeBackend{inner: stream.NewPipelineBackend(r.m, pipe)}
+	spike := &spikeBackend{Backend: stream.NewPipelineBackend(r.m, pipe)}
 	sopts := r.o.Server
 	sopts.Backend = spike
 	srv, err := stream.New(sopts)
@@ -263,7 +263,7 @@ func (r *runner) boot() (*incarnation, error) {
 		srv.Shutdown()
 		return nil, err
 	}
-	inc := &incarnation{backend: spike.inner, spike: spike, srv: srv, door: door, collector: make(chan struct{})}
+	inc := &incarnation{backend: spike.Backend, spike: spike, srv: srv, door: door, collector: make(chan struct{})}
 	go r.collect(inc)
 	return inc, nil
 }
@@ -509,9 +509,10 @@ func (r *runner) crash(inc *incarnation) (*incarnation, error) {
 
 // spikeBackend wraps a stream.Backend and injects latency into the next
 // armed number of outcome waits — a deterministic stand-in for a mesh
-// whose mapping rounds suddenly slowed down.
+// whose mapping rounds suddenly slowed down. Only Submit and TrySubmit
+// are overridden; the rest passes straight through.
 type spikeBackend struct {
-	inner stream.Backend
+	stream.Backend
 	mu    sync.Mutex
 	delay time.Duration
 	left  int
@@ -547,7 +548,7 @@ func (b *spikeBackend) wrap(wait func() manager.Outcome) func() manager.Outcome 
 
 // Submit implements stream.Backend.
 func (b *spikeBackend) Submit(app *model.Application, lib *model.Library) (func() manager.Outcome, error) {
-	wait, err := b.inner.Submit(app, lib)
+	wait, err := b.Backend.Submit(app, lib)
 	if err != nil {
 		return nil, err
 	}
@@ -556,33 +557,12 @@ func (b *spikeBackend) Submit(app *model.Application, lib *model.Library) (func(
 
 // TrySubmit implements stream.Backend.
 func (b *spikeBackend) TrySubmit(app *model.Application, lib *model.Library) (func() manager.Outcome, bool) {
-	wait, ok := b.inner.TrySubmit(app, lib)
+	wait, ok := b.Backend.TrySubmit(app, lib)
 	if !ok {
 		return nil, false
 	}
 	return b.wrap(wait), true
 }
-
-// Utilization implements stream.Backend.
-func (b *spikeBackend) Utilization() float64 { return b.inner.Utilization() }
-
-// Stop implements stream.Backend.
-func (b *spikeBackend) Stop(name string) error { return b.inner.Stop(name) }
-
-// NoteShed implements stream.Backend.
-func (b *spikeBackend) NoteShed(p model.Priority) { b.inner.NoteShed(p) }
-
-// NoteDLQRecovered implements stream.Backend.
-func (b *spikeBackend) NoteDLQRecovered() { b.inner.NoteDLQRecovered() }
-
-// NoteDLQExpired implements stream.Backend.
-func (b *spikeBackend) NoteDLQExpired() { b.inner.NoteDLQExpired() }
-
-// Stats implements stream.Backend.
-func (b *spikeBackend) Stats() manager.Stats { return b.inner.Stats() }
-
-// Close implements stream.Backend.
-func (b *spikeBackend) Close() { b.inner.Close() }
 
 // procTiles lists the failable processing tiles (endpoints anchor the
 // workload and are never failed).

@@ -66,25 +66,11 @@ type Options struct {
 	// single-region platform with the global SRC0/SINK0 endpoints — the
 	// pre-sharding behaviour.
 	RegionSize int
-	// GlobalLock departitions the platform after layout: the workload
-	// keeps RegionSize's per-region stream endpoints and round-robin
-	// pinning, but every commit goes through one global region lock.
-	// This isolates what lock sharding itself buys — same arrivals, same
-	// platform geometry, different lock granularity.
-	GlobalLock bool
 	// Reuse enables mapping-template reuse; Repair the incremental
 	// remapping engine; Retries bounds re-mapping rounds per arrival.
 	Reuse   bool
 	Repair  bool
 	Retries int
-	// CoW selects copy-on-write snapshots: the admission path captures
-	// O(regions) pointer views instead of deep-copying the mesh, and the
-	// live platform faults regions in as commits write. Off restores the
-	// pre-CoW per-admission deep copy (the snapshot ablation).
-	CoW bool
-	// Epoch lets concurrent admissions share one frozen base snapshot
-	// per pipeline epoch (only meaningful with CoW on).
-	Epoch bool
 	// Batch lets a pipeline worker drain up to this many queued arrivals
 	// into one batched admission round: one shared base snapshot,
 	// speculative mapping per arrival, and a single multi-application
@@ -138,8 +124,6 @@ func Defaults() Options {
 		Reuse:     true,
 		Repair:    true,
 		Preempt:   true,
-		CoW:       true,
-		Epoch:     true,
 		Retries:   manager.DefaultMaxRetries,
 	}
 }
@@ -215,10 +199,9 @@ func classOf(i int, w [model.NumPriorities]int) model.Priority {
 // the admission class rotates through the configured weights (the name
 // carries the class for debuggability). endpointRegions is the number of
 // per-region stream-endpoint pairs the scenario's platform carries (its
-// RegionCount as laid out by SyntheticRegionPlatform, before any
-// GlobalLock departition); with more than one, arrivals are pinned
-// round-robin to SRC<r>/SINK<r>, so consecutive arrivals land in
-// different regions.
+// RegionCount as laid out by SyntheticRegionPlatform); with more than
+// one, arrivals are pinned round-robin to SRC<r>/SINK<r>, so
+// consecutive arrivals land in different regions.
 func (o Options) Arrival(i, endpointRegions int) (*model.Application, *model.Library) {
 	w, err := ParsePrioMix(o.PrioMix)
 	if err != nil {
@@ -330,13 +313,7 @@ func Run(o Options) Result {
 	endpointRegions := 1
 	if o.RegionSize > 0 {
 		plat = workload.SyntheticRegionPlatform(o.Mesh, o.Mesh, o.Seed, o.RegionSize)
-		// The endpoint layout follows the sharded geometry even when
-		// GlobalLock then collapses the partition: same workload, one
-		// lock — that difference is exactly what the ablation measures.
 		endpointRegions = plat.RegionCount()
-		if o.GlobalLock {
-			plat.PartitionRegions(0)
-		}
 	} else {
 		plat = workload.SyntheticPlatform(o.Mesh, o.Mesh, o.Seed)
 	}
@@ -345,8 +322,6 @@ func Run(o Options) Result {
 	m.SetMappingReuse(o.Reuse)
 	m.SetRepair(o.Repair)
 	m.SetPreemption(o.Preempt)
-	m.SetCoWSnapshots(o.CoW)
-	m.SetEpochSnapshots(o.Epoch)
 	m.SetMaxRetries(o.Retries)
 	m.SetFaultBias(o.FaultBias)
 	var jw *journal.Writer
@@ -471,11 +446,6 @@ func runFleet(o Options, weights [model.NumPriorities]int) Result {
 		// round-robin pinning derived from it — is fleet-wide: a spilled
 		// arrival finds its SRC<r>/SINK<r> pair on any sibling.
 		endpointRegions = plats[0].RegionCount()
-		if o.GlobalLock {
-			for _, p := range plats {
-				p.PartitionRegions(0)
-			}
-		}
 	}
 	pristine := make([]arch.Residual, len(plats))
 	cfgs := make([]fleet.MeshConfig, len(plats))
@@ -486,8 +456,6 @@ func runFleet(o Options, weights [model.NumPriorities]int) Result {
 		m.SetMappingReuse(o.Reuse)
 		m.SetRepair(o.Repair)
 		m.SetPreemption(o.Preempt)
-		m.SetCoWSnapshots(o.CoW)
-		m.SetEpochSnapshots(o.Epoch)
 		m.SetMaxRetries(o.Retries)
 		m.SetFaultBias(o.FaultBias)
 		mgrs[i] = m

@@ -77,28 +77,6 @@ func TestChurnShardedRegionsClean(t *testing.T) {
 	}
 }
 
-// TestChurnShardedGlobalLockAblation pins the ablation configuration the
-// benchmarks compare against: the identical region-pinned workload with
-// the platform departitioned, so every commit serializes behind one lock.
-func TestChurnShardedGlobalLockAblation(t *testing.T) {
-	opts := Defaults()
-	opts.Apps = 40
-	opts.Mesh = 8
-	opts.Catalogue = 8
-	opts.RegionSize = 4
-	opts.GlobalLock = true
-	r := Run(opts)
-	if r.Regions != 1 {
-		t.Fatalf("global-lock ablation ran with %d regions, want 1", r.Regions)
-	}
-	if r.LedgerErr != nil || !r.Clean {
-		t.Fatalf("global-lock ablation not clean: err=%v clean=%v", r.LedgerErr, r.Clean)
-	}
-	if r.Stats.Admitted == 0 {
-		t.Fatal("ablation admitted nothing; workload broken")
-	}
-}
-
 // TestChurnRepairResolvesMajorityOfRetries is the acceptance bar of the
 // incremental remapping engine: under a contended 4-worker churn, at
 // least half of the commit-conflict retries and stale-template

@@ -44,7 +44,7 @@ type BufferResult struct {
 // loop repeats until the target period holds. An optional tightening pass
 // then shrinks each capacity to the smallest value that still meets the
 // target. The result is therefore sufficient (safe) but not always the
-// theoretical minimum; the substitution is recorded in DESIGN.md.
+// theoretical minimum; the substitution is recorded in EXPERIMENTS.md.
 //
 // Channels already bounded in the input graph keep their capacity and are
 // treated as hard constraints.

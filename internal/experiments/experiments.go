@@ -2,8 +2,8 @@
 // evaluation (§4) plus the extended benchmark suite its conclusions call
 // for (§5). Each experiment returns a human-readable report;
 // cmd/experiments prints them and the repository-root benchmarks time
-// them. The experiment IDs (E1–E11) are indexed in DESIGN.md and the
-// measured outcomes are recorded in EXPERIMENTS.md.
+// them. The experiment IDs (E1–E12) and their measured outcomes are
+// recorded in EXPERIMENTS.md.
 package experiments
 
 import (

@@ -366,21 +366,6 @@ func (f *Fleet) Utilization() float64 {
 	return sum / float64(n)
 }
 
-// NoteShed records an arrival dropped before any mesh was involved — a
-// streaming front-end stage shed it (full class buffer, open breaker).
-// It lands in mesh 0's manager stats: per-mesh attribution would be
-// fiction for a drop that never routed, and fleet reports aggregate the
-// member stats anyway, so the fleet-wide ledger stays whole.
-func (f *Fleet) NoteShed(p model.Priority) { f.meshes[0].m.NoteShed(p) }
-
-// NoteDLQRecovered records a dead-letter retry admitted somewhere in
-// the fleet; accounted like NoteShed.
-func (f *Fleet) NoteDLQRecovered() { f.meshes[0].m.NoteDLQRecovered() }
-
-// NoteDLQExpired records a dead-letter entry dropped for good;
-// accounted like NoteShed.
-func (f *Fleet) NoteDLQExpired() { f.meshes[0].m.NoteDLQExpired() }
-
 // Admit is the synchronous form of Submit: route, admit (spilling as
 // needed) and return the single fleet outcome.
 func (f *Fleet) Admit(app *model.Application, lib *model.Library) Outcome {

@@ -201,13 +201,10 @@ func (b *scriptBackend) TrySubmit(app *model.Application, _ *model.Library) (fun
 	return b.outcome(app), true
 }
 
-func (b *scriptBackend) Utilization() float64    { return 1.0 }
-func (b *scriptBackend) Stop(string) error       { return nil }
-func (b *scriptBackend) NoteShed(model.Priority) {}
-func (b *scriptBackend) NoteDLQRecovered()       {}
-func (b *scriptBackend) NoteDLQExpired()         {}
-func (b *scriptBackend) Stats() manager.Stats    { return manager.Stats{} }
-func (b *scriptBackend) Close()                  {}
+func (b *scriptBackend) Utilization() float64 { return 1.0 }
+func (b *scriptBackend) Stop(string) error    { return nil }
+func (b *scriptBackend) Stats() manager.Stats { return manager.Stats{} }
+func (b *scriptBackend) Close()               {}
 
 // newScriptedServer builds a stream server without a DLQ (so retryable
 // rejections surface immediately as final results the door can retry).

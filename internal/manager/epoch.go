@@ -2,49 +2,19 @@ package manager
 
 import "rtsm/internal/arch"
 
-// Epoch snapshots: the admission pipeline's snapshot acquisition. With
-// copy-on-write snapshots (arch.Platform.SnapshotCoW) a capture is
-// already O(regions) instead of O(mesh); epoch sharing removes even that
-// from the common case. Concurrent admissions inside one pipeline
-// "epoch" map against a single frozen base snapshot instead of each
-// taking their own — safe because the snapshot is immutable (every
-// mapper works on a copy-on-write child) and because commit-time
-// validation against the per-region versions catches whatever staleness
-// the sharing introduces, exactly as it catches races between fresh
-// snapshots. The epoch rolls when the live platform has moved more than
-// epochLag commits past the base; retries always capture fresh state
-// (and publish it as the new epoch), since re-deciding against the very
-// snapshot that just lost a race would be wasted work.
-
-// DefaultEpochLag is how many committed reservation changes an epoch
-// snapshot may trail the live platform by before a new admission rolls
-// the epoch instead of sharing it. The default of 0 shares only while
-// nothing has committed since the capture — sharing with zero added
-// staleness, a pure win whenever several admissions start inside one
-// commit window. Raising it trades staleness (absorbed by validation
-// plus incremental repair, but not for free) for fewer captures, which
-// pays off once capture contention matters — many workers on many
-// cores — and costs extra repair rounds on a saturated single core.
-const DefaultEpochLag = 0
-
-// snapshotMode reads the snapshot configuration consistently.
-func (m *Manager) snapshotMode() (cow, epoch bool, lag uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.cow, m.epochShare, m.epochLag
-}
-
-// captureSnapshot takes a fresh snapshot in the given mode: a frozen
-// copy-on-write capture coordinating per region, or the classic deep
-// copy under all region locks.
-func (m *Manager) captureSnapshot(cow bool) *arch.Snapshot {
-	if cow {
-		return m.plat.SnapshotCoW(m.locks)
-	}
-	m.locks.LockAll()
-	defer m.locks.UnlockAll()
-	return m.plat.Snapshot()
-}
+// Epoch snapshots: the admission pipeline's snapshot acquisition. A
+// copy-on-write capture (arch.Platform.SnapshotCoW) is already
+// O(regions) instead of O(mesh); epoch sharing removes even that from
+// the common case. Concurrent admissions inside one pipeline "epoch"
+// map against a single frozen base snapshot instead of each taking
+// their own — safe because the snapshot is immutable (every mapper
+// works on a copy-on-write child). An epoch is shared only while
+// nothing has committed since its capture, so sharing adds no
+// staleness; commit-time validation against the per-region versions
+// still catches races between captures and commits. Retries always
+// capture fresh state (and publish it as the new epoch), since
+// re-deciding against the very snapshot that just lost a race would be
+// wasted work.
 
 // countSnapshot records a base-snapshot capture (or an epoch share) in
 // the statistics.
@@ -59,33 +29,19 @@ func (m *Manager) countSnapshot(shared bool) {
 }
 
 // baseSnapshot returns the snapshot a new admission starts mapping
-// against: the current epoch's shared base when it is still within the
-// staleness budget, a freshly captured one (which becomes the new epoch)
-// otherwise.
+// against: the current epoch's shared base while the live platform is
+// still at its version, a freshly captured one (which becomes the new
+// epoch) otherwise.
 func (m *Manager) baseSnapshot() *arch.Snapshot {
-	cow, epoch, lag := m.snapshotMode()
-	if !cow || !epoch {
-		s := m.captureSnapshot(cow)
-		m.countSnapshot(false)
-		return s
-	}
 	m.epochMu.Lock()
 	defer m.epochMu.Unlock()
-	// The staleness guard compares unsigned versions: live must be at
-	// least the snapshot's before subtracting, or a snapshot from ahead
-	// of the live counter (conceivable after a future reset/rollback
-	// path) would underflow to a huge distance. Today that underflow
-	// happens to fail the ≤ lag test — the safe direction — but only by
-	// accident; the explicit ordering check keeps it safe on purpose and
-	// rolls the epoch whenever the version history is not comparable.
-	live := m.plat.Version()
 	if s := m.epochSnap; s != nil &&
 		len(s.RegionVersions) == m.plat.RegionCount() &&
-		live >= s.Version && live-s.Version <= lag {
+		m.plat.Version() == s.Version {
 		m.countSnapshot(true)
 		return s
 	}
-	s := m.captureSnapshot(true)
+	s := m.Snapshot()
 	m.epochSnap = s
 	m.countSnapshot(false)
 	return s
@@ -93,18 +49,15 @@ func (m *Manager) baseSnapshot() *arch.Snapshot {
 
 // freshSnapshot captures the platform's current state for a retry round
 // — a commit conflict, a stale infeasible verdict or a stale template
-// pool — and, under epoch sharing, publishes it as the new epoch so
-// admissions arriving next share the freshest view.
+// pool — and publishes it as the new epoch so admissions arriving next
+// share the freshest view.
 func (m *Manager) freshSnapshot() *arch.Snapshot {
-	cow, epoch, _ := m.snapshotMode()
-	s := m.captureSnapshot(cow)
+	s := m.Snapshot()
 	m.countSnapshot(false)
-	if cow && epoch {
-		m.epochMu.Lock()
-		if m.epochSnap == nil || m.epochSnap.Version < s.Version {
-			m.epochSnap = s
-		}
-		m.epochMu.Unlock()
+	m.epochMu.Lock()
+	if m.epochSnap == nil || m.epochSnap.Version < s.Version {
+		m.epochSnap = s
 	}
+	m.epochMu.Unlock()
 	return s
 }

@@ -179,14 +179,13 @@ type Stats struct {
 	// Snapshots counts base snapshots actually captured for admissions
 	// and their retries; SnapshotsShared counts admissions served from an
 	// already-captured epoch snapshot instead of taking their own (see
-	// SetEpochSnapshots). Their sum is the number of snapshot
-	// acquisitions the admission path performed.
+	// epoch.go). Their sum is the number of snapshot acquisitions the
+	// admission path performed.
 	Snapshots       uint64
 	SnapshotsShared uint64
 	// CoWFaults counts regions faulted in by the copy-on-write engine —
 	// private region copies made on first write, on the live platform
-	// and on every snapshot and working clone derived from it. With
-	// copy-on-write disabled it stays zero.
+	// and on every snapshot and working clone derived from it.
 	CoWFaults uint64
 	// Preemptions counts lower-priority victims displaced so a
 	// higher-priority arrival could be admitted on a full mesh. Every
@@ -225,13 +224,6 @@ type Stats struct {
 	FaultRelocated uint64
 	FaultDropped   uint64
 	Restores       uint64
-	// DLQRecovered counts capacity-rejected arrivals a dead-letter queue
-	// re-enqueued and successfully admitted once utilization dropped;
-	// DLQExpired counts entries the DLQ gave up on (retry budget spent or
-	// shutdown). Both are reported by the streaming front-end via
-	// NoteDLQRecovered/NoteDLQExpired; without a DLQ they stay zero.
-	DLQRecovered uint64
-	DLQExpired   uint64
 	// ByClass splits admitted/rejected per priority class, indexed by
 	// model.Priority.
 	ByClass [model.NumPriorities]ClassStats
@@ -247,11 +239,10 @@ type Stats struct {
 type ClassStats struct {
 	Admitted uint64
 	Rejected uint64
-	// Shed counts arrivals this class lost to load shedding before any
-	// mapping ran: TrySubmit refusals on a saturated queue plus drops the
-	// streaming front-end reports via NoteShed. Shed arrivals never reach
-	// the mapper, so they appear in neither Admitted nor Rejected — the
-	// ledger for a class is Admitted + Rejected + Shed.
+	// Shed counts arrivals this class lost to TrySubmit refusals on a
+	// saturated pipeline queue. Shed arrivals never reach the mapper, so
+	// they appear in neither Admitted nor Rejected. Drops at a streaming
+	// front-end's own stages are counted in its report, not here.
 	Shed uint64
 	// Latency accumulates the class's end-to-end admission latency
 	// (queue wait + mapping + repair + commit) over all its arrivals,
@@ -298,8 +289,6 @@ func (s *Stats) Add(o Stats) {
 	s.FaultRelocated += o.FaultRelocated
 	s.FaultDropped += o.FaultDropped
 	s.Restores += o.Restores
-	s.DLQRecovered += o.DLQRecovered
-	s.DLQExpired += o.DLQExpired
 	for c := range s.ByClass {
 		s.ByClass[c].Admitted += o.ByClass[c].Admitted
 		s.ByClass[c].Rejected += o.ByClass[c].Rejected
@@ -332,8 +321,8 @@ func (s Stats) RepairRate() (float64, bool) {
 //   - locks, one mutex per mesh region, serialize the platform's
 //     reservation state. A commit or release holds exactly the regions
 //     its plan touches; whole-platform reads (Residual, Load,
-//     CheckInvariants, deep snapshots) hold all of them, while the
-//     copy-on-write snapshot capture visits one region lock at a time.
+//     CheckInvariants) hold all of them, while the copy-on-write
+//     snapshot capture visits one region lock at a time.
 //   - mu serializes the admission bookkeeping: the running and pending
 //     sets, the sequence counter, the configuration flags and the
 //     statistics.
@@ -368,9 +357,6 @@ type Manager struct {
 	templates  *templateCache // nil = mapping reuse disabled
 	repair     bool           // repair stale mappings instead of re-mapping
 	preemption bool           // displace lower classes for full-mesh arrivals
-	cow        bool           // copy-on-write snapshots instead of deep copies
-	epochShare bool           // admissions share epoch snapshots
-	epochLag   uint64         // staleness budget of a shared epoch snapshot
 
 	// load is the lock-free utilization summary fleet routers sample;
 	// maintained by loadCharge/loadRelease on the commit and stop paths.
@@ -403,50 +389,10 @@ func New(plat *arch.Platform, cfg core.Config) *Manager {
 		maxRetries: DefaultMaxRetries,
 		repair:     true,
 		preemption: true,
-		cow:        true,
-		epochShare: true,
-		epochLag:   DefaultEpochLag,
 	}
 	plat.SetCoWFaultMeter(&m.faults)
 	m.initLoadCapacity()
 	return m
-}
-
-// SetCoWSnapshots selects how the admission path snapshots the platform.
-// When on (the default), snapshots are copy-on-write: the capture shares
-// the platform's per-tile and per-link reservation structs and the live
-// platform faults in private region copies as later commits write — cost
-// O(regions) per snapshot plus O(footprint) per commit, instead of a
-// deep copy of the whole mesh under every region lock. When off, every
-// snapshot is the classic deep copy taken under all region locks (and
-// epoch sharing is ineffective, since deep snapshots cannot be shared).
-func (m *Manager) SetCoWSnapshots(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.cow = on
-}
-
-// SetEpochSnapshots enables or disables epoch sharing of copy-on-write
-// snapshots: when on (the default, effective only with CoW snapshots),
-// concurrent admissions within one epoch map against a single frozen
-// base snapshot instead of each capturing their own, and the epoch rolls
-// once the live platform has moved more than SetEpochLag commits past
-// the base. Commit-time validation catches the staleness sharing
-// introduces, exactly as it catches snapshot races.
-func (m *Manager) SetEpochSnapshots(on bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epochShare = on
-}
-
-// SetEpochLag sets how many committed reservation changes an epoch
-// snapshot may trail the live platform by before a new admission rolls
-// the epoch instead of sharing it (0 = share only while nothing
-// committed since the capture).
-func (m *Manager) SetEpochLag(n uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.epochLag = n
 }
 
 // SetPreemption enables or disables the preemption planner. When on (the
@@ -553,16 +499,13 @@ func (m *Manager) removalPlan(ad *Admission) (*core.Plan, error) {
 // Residual instead.
 func (m *Manager) Platform() *arch.Platform { return m.plat }
 
-// Snapshot returns a point-in-time snapshot of the managed platform.
-// With copy-on-write snapshots enabled (the default) the capture
-// coordinates per region — no caller and no commit ever waits on all
-// region locks at once — and the returned snapshot is frozen: treat its
-// Plat as read-only, and derive arch.Snapshot.Writable before mutating.
-// With CoW disabled it is a deep copy taken under all region locks,
-// owned outright by the caller.
+// Snapshot returns a point-in-time copy-on-write snapshot of the managed
+// platform. The capture coordinates per region — no caller and no commit
+// ever waits on all region locks at once — and the returned snapshot is
+// frozen: treat its Plat as read-only, and derive arch.Snapshot.Writable
+// before mutating.
 func (m *Manager) Snapshot() *arch.Snapshot {
-	cow, _, _ := m.snapshotMode()
-	return m.captureSnapshot(cow)
+	return m.plat.SnapshotCoW(m.locks)
 }
 
 // Residual returns the platform's current free-capacity view, read under
@@ -582,30 +525,12 @@ func (m *Manager) Stats() Stats {
 	return st
 }
 
-// NoteShed records one load-shed arrival of the given class: it was
-// dropped before any mapping ran (saturated queue, open circuit
-// breaker, full stage buffer). Pipeline.TrySubmit calls this on a
-// full-queue refusal; the streaming front-end calls it for drops at its
-// own stages so the per-class ledger stays complete.
-func (m *Manager) NoteShed(p model.Priority) {
+// noteShed records one load-shed arrival of the given class: it was
+// dropped before any mapping ran. Pipeline.TrySubmit calls this on a
+// full-queue refusal.
+func (m *Manager) noteShed(p model.Priority) {
 	m.mu.Lock()
 	m.stats.ByClass[clampPriority(p)].Shed++
-	m.mu.Unlock()
-}
-
-// NoteDLQRecovered records one dead-letter entry whose retry was
-// admitted; see Stats.DLQRecovered.
-func (m *Manager) NoteDLQRecovered() {
-	m.mu.Lock()
-	m.stats.DLQRecovered++
-	m.mu.Unlock()
-}
-
-// NoteDLQExpired records one dead-letter entry dropped for good; see
-// Stats.DLQExpired.
-func (m *Manager) NoteDLQExpired() {
-	m.mu.Lock()
-	m.stats.DLQExpired++
 	m.mu.Unlock()
 }
 

@@ -199,7 +199,7 @@ func (p *Pipeline) TrySubmit(app *model.Application, lib *model.Library) (<-chan
 	j := newJob(app, lib)
 	if ok, closed := p.q.tryPush(j); !ok {
 		if !closed {
-			p.m.NoteShed(j.prio)
+			p.m.noteShed(j.prio)
 		}
 		return nil, false
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"rtsm/internal/arch"
 	"rtsm/internal/core"
 	"rtsm/internal/model"
 	"rtsm/internal/workload"
@@ -18,9 +19,36 @@ import (
 // region-local ones, while departures run concurrently. Straddling plans
 // take multiple region locks; the canonical acquisition order must keep
 // this deadlock-free, and under -race the reservation ledger must stay
-// data-race-free and invariant-clean throughout.
+// data-race-free and invariant-clean throughout. The departitioned input
+// keeps the identical region-pinned workload but collapses the platform
+// to one region, so every commit serializes behind a single lock — the
+// lock-granularity baseline the sharded benchmarks compare against.
 func TestShardedCommitStraddlingRegions(t *testing.T) {
-	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
+	for _, tc := range []struct {
+		name        string
+		departition bool
+		regions     int
+	}{
+		{"sharded", false, 4},
+		{"departitioned", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
+			if tc.departition {
+				plat.PartitionRegions(0)
+			}
+			if got := plat.RegionCount(); got != tc.regions {
+				t.Fatalf("platform has %d regions, want %d", got, tc.regions)
+			}
+			straddleChurn(t, plat)
+		})
+	}
+}
+
+// straddleChurn drives the straddling churn of
+// TestShardedCommitStraddlingRegions against one platform and checks the
+// ledger is invariant-clean and pristine afterwards.
+func straddleChurn(t *testing.T, plat *arch.Platform) {
 	m := New(plat, core.Config{})
 	m.SetMappingReuse(true)
 	pristine := m.Residual()

@@ -2,11 +2,13 @@ package manager
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"sync"
 	"testing"
 
 	"rtsm/internal/core"
-	"rtsm/internal/model"
+	"rtsm/internal/energy"
 	"rtsm/internal/workload"
 )
 
@@ -23,11 +25,8 @@ func TestEpochSnapshotSharingStress(t *testing.T) {
 	pristine := plat.Residual()
 	m := New(plat, core.Config{})
 	// No template reuse: every admission must take (or share) a base
-	// snapshot, so the sharing counters are actually exercised. A
-	// non-zero lag makes sharing frequent regardless of how commits
-	// interleave with captures on the host running the test.
+	// snapshot, so the sharing counters are actually exercised.
 	m.SetMappingReuse(false)
-	m.SetEpochLag(4)
 
 	const workers = 8
 	const perWorker = 25
@@ -81,65 +80,119 @@ func TestEpochSnapshotSharingStress(t *testing.T) {
 		st.Admitted, st.Snapshots, st.SnapshotsShared, st.CoWFaults)
 }
 
-// TestEpochDisabledTakesPerAdmissionSnapshots pins the ablation: with
-// epoch sharing off every admission captures its own base snapshot.
-func TestEpochDisabledTakesPerAdmissionSnapshots(t *testing.T) {
-	m := New(workload.SyntheticPlatform(5, 5, 9), core.Config{})
-	m.SetMappingReuse(false)
-	m.SetEpochSnapshots(false)
-	for i := 0; i < 6; i++ {
-		app, lib := workload.Synthetic(workload.SynthOptions{
-			Shape: workload.ShapeChain, Processes: 3, Seed: int64(i), MaxUtil: 0.1,
-		})
-		app.Name = fmt.Sprintf("noepoch-%d", i)
-		out := m.Admit(app, lib)
-		if out.Admitted {
-			if err := m.Stop(app.Name); err != nil {
-				t.Fatal(err)
-			}
-		}
+// TestCoWSnapshotMapMatchesDeepCopy is the differential oracle for the
+// admission path's snapshot engine. On a churn-loaded 8×8, 4-region
+// manager, with commits and stops interleaved, every arrival is mapped
+// twice: against a copy-on-write capture and against a deep copy
+// (arch.Platform.Snapshot) taken at the same version. Both must give the
+// same verdict, the same reservation deltas and the same energy, even
+// though the live platform commits the arrival (and often releases a
+// resident) between capture and mapping, faulting regions in under the
+// frozen capture. Energy is a
+// float sum over map-ordered terms (energy.Params.Evaluate), so it is
+// compared to rounding rather than bit for bit.
+func TestCoWSnapshotMapMatchesDeepCopy(t *testing.T) {
+	plat := workload.SyntheticRegionPlatform(8, 8, 123, 4)
+	regions := plat.RegionCount()
+	if regions != 4 {
+		t.Fatalf("fixture has %d regions, want 4", regions)
 	}
-	st := m.Stats()
-	if st.SnapshotsShared != 0 {
-		t.Fatalf("epoch sharing off but %d admissions shared a snapshot", st.SnapshotsShared)
-	}
-	if st.Snapshots == 0 {
-		t.Fatal("no snapshots recorded")
-	}
-}
-
-// TestDeepCopySnapshotModeStillWorks pins the -cow=false ablation end to
-// end: deep snapshots under all region locks, no sharing, no faults,
-// same admission outcomes.
-func TestDeepCopySnapshotModeStillWorks(t *testing.T) {
-	plat := workload.SyntheticPlatform(5, 5, 9)
 	pristine := plat.Residual()
 	m := New(plat, core.Config{})
-	m.SetCoWSnapshots(false)
-	var admitted []string
-	for i := 0; i < 8; i++ {
+	const arrivals = 200
+	const resident = 10
+	var live []string
+	stopOldest := func() {
+		if err := m.Stop(live[0]); err != nil {
+			t.Fatalf("stop %s: %v", live[0], err)
+		}
+		live = live[1:]
+	}
+	feasible, infeasible := 0, 0
+	for n := 0; n < arrivals; n++ {
+		s := n % 6
 		app, lib := workload.Synthetic(workload.SynthOptions{
-			Shape: workload.ShapeChain, Processes: 3, Seed: int64(i), MaxUtil: 0.1,
-			Priority: model.Priority(i % model.NumPriorities),
+			Shape: workload.ShapeChain, Processes: 2 + s%2, Seed: int64(s),
+			MaxUtil: 0.2, PeriodNs: 40_000,
+			SrcTile: fmt.Sprintf("SRC%d", n%regions), SinkTile: fmt.Sprintf("SINK%d", n%regions),
 		})
-		app.Name = fmt.Sprintf("deep-%d", i)
+		app.Name = fmt.Sprintf("diff-%d", n)
+
+		cow := plat.SnapshotCoW(m.locks)
+		m.locks.LockAll()
+		deep := plat.Snapshot()
+		m.locks.UnlockAll()
+		if cow.Version != deep.Version {
+			t.Fatalf("arrival %d: captures at versions %d and %d", n, cow.Version, deep.Version)
+		}
+		// The arrival commits, and every third arrival a departure
+		// lands, between capture and mapping: both views must stay
+		// frozen at the captured version.
 		if out := m.Admit(app, lib); out.Admitted {
-			admitted = append(admitted, app.Name)
+			live = append(live, app.Name)
+		}
+		if n%3 == 0 && len(live) > 0 {
+			stopOldest()
+		}
+
+		mapper := &core.Mapper{Lib: lib}
+		rc, errC := mapper.Map(app, cow.Plat)
+		rd, errD := mapper.Map(app, deep.Plat)
+		if (errC == nil) != (errD == nil) {
+			t.Fatalf("arrival %d: CoW error %v, deep-copy error %v", n, errC, errD)
+		}
+		if errC != nil {
+			continue
+		}
+		if rc.Feasible != rd.Feasible {
+			t.Fatalf("arrival %d: CoW feasible=%v, deep copy feasible=%v", n, rc.Feasible, rd.Feasible)
+		}
+		if !rc.Feasible {
+			infeasible++
+		} else {
+			feasible++
+			if !sameEnergy(rc.Energy, rd.Energy) {
+				t.Fatalf("arrival %d: CoW energy %v, deep-copy energy %v", n, rc.Energy, rd.Energy)
+			}
+			pc, err := core.NewPlan(plat, rc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pd, err := core.NewPlan(plat, rd)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc, lc := pc.Deltas()
+			td, ld := pd.Deltas()
+			if !reflect.DeepEqual(tc, td) || !reflect.DeepEqual(lc, ld) {
+				t.Fatalf("arrival %d: reservation deltas differ between CoW and deep-copy mappings", n)
+			}
+		}
+		for len(live) > resident {
+			stopOldest()
 		}
 	}
-	st := m.Stats()
-	if st.Admitted == 0 {
-		t.Fatal("deep-copy mode admitted nothing")
+	if feasible == 0 || infeasible == 0 {
+		t.Fatalf("differential covered %d feasible and %d infeasible arrivals; want both", feasible, infeasible)
 	}
-	if st.CoWFaults != 0 {
-		t.Fatalf("deep-copy mode recorded %d CoW faults, want 0", st.CoWFaults)
+	if m.Stats().CoWFaults == 0 {
+		t.Fatal("no CoW faults: commits never wrote under a live capture")
 	}
-	for _, name := range admitted {
-		if err := m.Stop(name); err != nil {
-			t.Fatal(err)
-		}
+	for len(live) > 0 {
+		stopOldest()
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 	if final := m.Residual(); !final.Equal(pristine) {
-		t.Fatal("deep-copy mode leaked reservations")
+		t.Fatal("reservations leaked across the differential churn")
 	}
+	t.Logf("differential: %d feasible, %d infeasible arrivals agree", feasible, infeasible)
+}
+
+// sameEnergy reports whether two energy breakdowns agree up to the
+// rounding of their summation order.
+func sameEnergy(a, b energy.Breakdown) bool {
+	near := func(x, y float64) bool { return math.Abs(x-y) <= 1e-9*math.Max(math.Abs(x), math.Abs(y)) }
+	return near(a.Processing, b.Processing) && near(a.Communication, b.Communication) && near(a.Idle, b.Idle)
 }

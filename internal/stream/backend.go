@@ -25,11 +25,6 @@ type Backend interface {
 	Utilization() float64
 	// Stop departs a resident, freeing its reservations.
 	Stop(name string) error
-	// NoteShed, NoteDLQRecovered and NoteDLQExpired report server-stage
-	// events into the backend's manager.Stats ledger.
-	NoteShed(p model.Priority)
-	NoteDLQRecovered()
-	NoteDLQExpired()
 	// Stats is the backend's aggregated admission counters.
 	Stats() manager.Stats
 	// Close shuts the backend down, draining queued admissions.
@@ -73,15 +68,6 @@ func (b *PipelineBackend) Utilization() float64 { return b.m.LoadEstimate().Util
 // Stop implements Backend.
 func (b *PipelineBackend) Stop(name string) error { return b.m.Stop(name) }
 
-// NoteShed implements Backend.
-func (b *PipelineBackend) NoteShed(p model.Priority) { b.m.NoteShed(p) }
-
-// NoteDLQRecovered implements Backend.
-func (b *PipelineBackend) NoteDLQRecovered() { b.m.NoteDLQRecovered() }
-
-// NoteDLQExpired implements Backend.
-func (b *PipelineBackend) NoteDLQExpired() { b.m.NoteDLQExpired() }
-
 // Stats implements Backend.
 func (b *PipelineBackend) Stats() manager.Stats { return b.m.Stats() }
 
@@ -119,15 +105,6 @@ func (b *FleetBackend) Utilization() float64 { return b.f.Utilization() }
 
 // Stop implements Backend.
 func (b *FleetBackend) Stop(name string) error { return b.f.Stop(name) }
-
-// NoteShed implements Backend.
-func (b *FleetBackend) NoteShed(p model.Priority) { b.f.NoteShed(p) }
-
-// NoteDLQRecovered implements Backend.
-func (b *FleetBackend) NoteDLQRecovered() { b.f.NoteDLQRecovered() }
-
-// NoteDLQExpired implements Backend.
-func (b *FleetBackend) NoteDLQExpired() { b.f.NoteDLQExpired() }
 
 // Stats implements Backend: the member meshes' counters summed.
 func (b *FleetBackend) Stats() manager.Stats {

@@ -19,7 +19,7 @@
 // Capacity rejections (manager.IsRetryableRejection) park in a bounded
 // dead-letter queue and are re-enqueued once measured utilization drops
 // below a threshold; recovered admissions and expired entries are
-// accounted in the backend's manager.Stats. A rolling window reports
+// accounted in the server's Report. A rolling window reports
 // live p50/p99 admission latency and admissions/sec.
 //
 // Every arrival accepted by Submit produces exactly one Result:
@@ -530,25 +530,16 @@ func (s *Server) handle(a Arrival, c model.Priority) {
 	}
 	wait, ok := s.backend.TrySubmit(a.App, a.Lib)
 	if !ok {
-		// The backend's bounded queue is full; it already counted the
-		// shed per class (manager.Pipeline.TrySubmit), so only the
-		// server-side ledger is updated here.
+		// The backend's bounded queue is full.
 		s.c.shedQueue.Add(1)
-		s.shedNoNote(a, c, ShedAtQueue)
+		s.shed(a, c, ShedAtQueue)
 		return
 	}
 	s.watch(a, c, wait, 1)
 }
 
-// shed drops an arrival at a server stage and reports it to the
-// backend's ledger.
+// shed drops an arrival at the given server stage.
 func (s *Server) shed(a Arrival, c model.Priority, at ShedStage) {
-	s.backend.NoteShed(c)
-	s.shedNoNote(a, c, at)
-}
-
-// shedNoNote drops an arrival whose shed the backend already counted.
-func (s *Server) shedNoNote(a Arrival, c model.Priority, at ShedStage) {
 	s.deliver(a.notify, Result{App: a.App.Name, Class: c, Verdict: VerdictShed, Latency: time.Since(a.t), ShedAt: at})
 }
 
@@ -567,9 +558,6 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 		svc := time.Since(submitted)
 		if out.Admitted {
 			recovered := attempts > 1
-			if recovered {
-				s.backend.NoteDLQRecovered()
-			}
 			s.breaker.record(s.opts.Breaker.Latency > 0 && svc > s.opts.Breaker.Latency)
 			s.win.add(lat)
 			s.svcWin.add(svc)
@@ -587,7 +575,6 @@ func (s *Server) watch(a Arrival, c model.Priority, wait func() manager.Outcome,
 				}
 			}
 			// Budget spent or class quota full: the entry expires.
-			s.backend.NoteDLQExpired()
 			s.deliver(a.notify, Result{
 				App: a.App.Name, Class: c, Verdict: VerdictExpired,
 				Latency: lat, Outcome: out,
@@ -623,7 +610,6 @@ func (s *Server) dlqLoop() {
 					// submit; park it again without burning retry budget
 					// (no mapping round ran).
 					if !s.dlq.add(e) {
-						s.backend.NoteDLQExpired()
 						s.deliver(e.arr.notify, Result{
 							App: e.arr.App.Name, Class: c, Verdict: VerdictExpired,
 							Latency: time.Since(e.arr.t),
@@ -697,7 +683,6 @@ func (s *Server) Shutdown() Report {
 	s.watchers.Wait() // every submitted outcome delivered (or parked in DLQ)
 	if s.dlq != nil {
 		for _, e := range s.dlq.drain() {
-			s.backend.NoteDLQExpired()
 			s.deliver(e.arr.notify, Result{
 				App:     e.arr.App.Name,
 				Class:   e.class,

@@ -249,6 +249,28 @@ func TestWindowPercentilesAndRate(t *testing.T) {
 	}
 }
 
+// TestWindowRateKeepsBucketBoundaries pins the rate against bucket
+// drift: with one admission every 1.9 bucket spans the true rate is
+// ~10.5/s, and each advance must keep the bucket grid aligned. Moving
+// the boundary to the advancing call's timestamp instead slips it
+// forward by the remainder each time, so every admission opens a fresh
+// bucket and the window reads one admission per bucket, 20/s.
+func TestWindowRateKeepsBucketBoundaries(t *testing.T) {
+	clk := &fakeClock{t: time.Unix(4000, 0)}
+	w := newMetricsWindow(time.Second)
+	w.now = clk.now
+	w.bucketAt = clk.now()
+	every := time.Second / windowBuckets * 19 / 10
+	for i := 0; i < 200; i++ {
+		clk.advance(every)
+		w.add(time.Millisecond)
+	}
+	want := float64(time.Second) / float64(every)
+	if got := w.Snapshot().PerSec; got < want-1 || got > want+1 {
+		t.Fatalf("rate = %.1f/s, want %.1f/s within one admission per window", got, want)
+	}
+}
+
 func TestDLQPerClassBudgetsAndOrder(t *testing.T) {
 	// Capacity 8 splits into quotas Critical 8, Standard 4, BestEffort 2.
 	d := newDLQ(8)
@@ -308,8 +330,6 @@ type fakeBackend struct {
 	mode atomic.Int32
 	util atomic.Uint64 // float64 bits… keep it simple: percent
 	shed [model.NumPriorities]atomic.Uint64
-	rec  atomic.Uint64
-	exp  atomic.Uint64
 	subs atomic.Uint64
 }
 
@@ -367,13 +387,10 @@ func (f *fakeBackend) TrySubmit(app *model.Application, lib *model.Library) (fun
 	return func() manager.Outcome { return out }, true
 }
 
-func (f *fakeBackend) Utilization() float64      { return float64(f.util.Load()) / 100 }
-func (f *fakeBackend) Stop(string) error         { return nil }
-func (f *fakeBackend) NoteShed(p model.Priority) { f.shed[clampClass(p)].Add(1) }
-func (f *fakeBackend) NoteDLQRecovered()         { f.rec.Add(1) }
-func (f *fakeBackend) NoteDLQExpired()           { f.exp.Add(1) }
-func (f *fakeBackend) Stats() manager.Stats      { return manager.Stats{} }
-func (f *fakeBackend) Close()                    {}
+func (f *fakeBackend) Utilization() float64 { return float64(f.util.Load()) / 100 }
+func (f *fakeBackend) Stop(string) error    { return nil }
+func (f *fakeBackend) Stats() manager.Stats { return manager.Stats{} }
+func (f *fakeBackend) Close()               {}
 
 func synthArrival(i int, prio model.Priority) (*model.Application, *model.Library) {
 	app, lib := workload.Synthetic(workload.SynthOptions{
@@ -512,9 +529,6 @@ func TestServerDLQRecoversAfterLoadDrops(t *testing.T) {
 			t.Fatalf("result %+v, want recovered admission", r)
 		}
 	}
-	if fb.rec.Load() != n {
-		t.Fatalf("backend ledger saw %d recoveries, want %d", fb.rec.Load(), n)
-	}
 }
 
 // TestServerDLQExpiresOnShutdownAndBudget pins the two expiry paths:
@@ -550,9 +564,6 @@ func TestServerDLQExpiresOnShutdownAndBudget(t *testing.T) {
 	}
 	if !rep.LedgerOK() || uint64(len(all)) != rep.Submitted {
 		t.Fatalf("ledger broken: %+v (%d results)", rep, len(all))
-	}
-	if fb.exp.Load() != n {
-		t.Fatalf("backend ledger saw %d expiries, want %d", fb.exp.Load(), n)
 	}
 
 	// Path 2: retry budget spent while load stays low but the mesh keeps

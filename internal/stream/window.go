@@ -63,12 +63,16 @@ func newMetricsWindow(window time.Duration) *metricsWindow {
 	return w
 }
 
+// advanceLocked rotates the ring to the bucket holding now. The bucket
+// start moves by whole spans, so boundaries stay on their grid instead
+// of slipping forward by the remainder on every advance.
 func (w *metricsWindow) advanceLocked(now time.Time) {
 	span := w.window / windowBuckets
 	steps := int(now.Sub(w.bucketAt) / span)
 	if steps <= 0 {
 		return
 	}
+	w.bucketAt = w.bucketAt.Add(time.Duration(steps) * span)
 	if steps > windowBuckets {
 		steps = windowBuckets
 	}
@@ -76,7 +80,6 @@ func (w *metricsWindow) advanceLocked(now time.Time) {
 		w.cur = (w.cur + 1) % windowBuckets
 		w.counts[w.cur] = 0
 	}
-	w.bucketAt = now
 }
 
 // add records one admission and its end-to-end latency.

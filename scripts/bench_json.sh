@@ -13,18 +13,15 @@
 # trigger — so the JSON records the mean over $COUNT runs of each
 # benchmark and ratios of those means.
 #
-# Usage: scripts/bench_json.sh [BENCHMARK...]
+# Usage: OUT=<file>.json scripts/bench_json.sh BENCHMARK...
 #
-#   With no arguments, runs the batched-vs-unbatched admission pair and
-#   writes BENCH_6.json in its original format (the lone
-#   "speedup_admissions_per_sec" key is batched over unbatched).
-#
-#   With arguments, each BENCHMARK is an exact root-package benchmark
-#   name; the FIRST is the baseline. The JSON gains a "baseline" key and
-#   a "speedups_admissions_per_sec" object mapping every other benchmark
+#   Each BENCHMARK is an exact root-package benchmark name; the FIRST is
+#   the baseline. The JSON carries a "baseline" key and a
+#   "speedups_admissions_per_sec" object mapping every other benchmark
 #   to its admissions/sec mean over the baseline's.
 #
-#   BENCHTIME=2s COUNT=3 OUT=BENCH_6.json scripts/bench_json.sh
+#   BENCHTIME=2s COUNT=3 OUT=BENCH_6.json DESC="batched vs unbatched pipeline admission" \
+#     scripts/bench_json.sh BenchmarkAdmissionUnbatched BenchmarkAdmissionBatched
 #   BENCHTIME=800x COUNT=3 OUT=BENCH_7.json DESC="fleet admission: meshes 1 vs 2 vs 4" \
 #     scripts/bench_json.sh BenchmarkFleetAdmission1 BenchmarkFleetAdmission2 BenchmarkFleetAdmission4
 set -euo pipefail
@@ -32,25 +29,20 @@ set -euo pipefail
 benchtime=${BENCHTIME:-2s}
 count=${COUNT:-3}
 
-if [ "$#" -eq 0 ]; then
-  legacy=1
-  set -- BenchmarkAdmissionBatched BenchmarkAdmissionUnbatched
-  out=${OUT:-BENCH_6.json}
-  raw=${RAW:-bench-batch.txt}
-  desc=${DESC:-"batched vs unbatched pipeline admission"}
-else
-  legacy=0
-  out=${OUT:?set OUT=<file>.json when naming benchmarks explicitly}
-  raw=${RAW:-${out%.json}-raw.txt}
-  desc=${DESC:-"$*"}
+if [ "$#" -lt 2 ]; then
+  echo "usage: OUT=<file>.json $0 BASELINE BENCHMARK..." >&2
+  exit 2
 fi
+out=${OUT:?set OUT=<file>.json}
+raw=${RAW:-${out%.json}-raw.txt}
+desc=${DESC:-"$*"}
 
 pattern="^($(IFS='|'; echo "$*"))\$"
 
 go test -run xxx -bench "$pattern" -benchtime "$benchtime" -count "$count" . | tee "$raw"
 
 awk -v benchtime="$benchtime" -v count="$count" -v goversion="$(go version)" \
-    -v desc="$desc" -v legacy="$legacy" -v names="$*" '
+    -v desc="$desc" -v names="$*" '
 BEGIN {
   n = split(names, order, " ")
 }
@@ -96,21 +88,14 @@ END {
     printf "}%s\n", (k < n) ? "," : ""
   }
   printf "  },\n"
-  if (legacy) {
-    # BENCH_6 compatibility: batched over unbatched, single scalar key.
-    b = sum[order[1], "admissions_per_sec"] / runs[order[1]]
-    u = sum[order[2], "admissions_per_sec"] / runs[order[2]]
-    printf "  \"speedup_admissions_per_sec\": %.3f\n", b / u
-  } else {
-    base = sum[order[1], "admissions_per_sec"] / runs[order[1]]
-    printf "  \"baseline\": \"%s\",\n", order[1]
-    printf "  \"speedups_admissions_per_sec\": {\n"
-    for (k = 2; k <= n; k++) {
-      v = sum[order[k], "admissions_per_sec"] / runs[order[k]]
-      printf "    \"%s\": %.3f%s\n", order[k], v / base, (k < n) ? "," : ""
-    }
-    printf "  }\n"
+  base = sum[order[1], "admissions_per_sec"] / runs[order[1]]
+  printf "  \"baseline\": \"%s\",\n", order[1]
+  printf "  \"speedups_admissions_per_sec\": {\n"
+  for (k = 2; k <= n; k++) {
+    v = sum[order[k], "admissions_per_sec"] / runs[order[k]]
+    printf "    \"%s\": %.3f%s\n", order[k], v / base, (k < n) ? "," : ""
   }
+  printf "  }\n"
   printf "}\n"
 }' "$raw" > "$out"
 

@@ -12,28 +12,25 @@ import (
 )
 
 // The snapshot benchmarks quantify what the copy-on-write engine takes
-// out of the admission hot path. Two pairs, both run with -benchmem and
-// uploaded by CI as the bench-snapshot-comparison artifact:
+// out of the admission hot path. All run with -benchmem and are uploaded
+// by CI as the bench-snapshot-comparison artifact:
 //
-//   - BenchmarkAdmissionSnapshot{CoW,DeepCopy}: the base-snapshot
-//     acquisition one admission performs, measured on a churn-loaded
-//     16×16 mesh manager (the acceptance pair: CoW must be ≥2x faster
-//     and ≥4x lighter in B/op than the deep copy);
 //   - BenchmarkSnapshotOnly{CoW,DeepCopy}: the raw arch-level capture,
 //     isolating the O(regions) pointer capture from the O(mesh) struct
-//     copy without any manager machinery.
-//
-// BenchmarkAdmissionChurn16{CoW,DeepCopy} put the same toggle under the
-// full pipeline (map + commit + stop) for end-to-end context.
+//     copy without any manager machinery (the comparison pair: CoW must
+//     be ≥2x faster and ≥4x lighter in B/op than the deep copy);
+//   - BenchmarkAdmissionSnapshotCoW: the base-snapshot acquisition one
+//     admission performs, measured on a churn-loaded 16×16 mesh manager;
+//   - BenchmarkAdmissionChurn16CoW: the full pipeline (map + commit +
+//     stop) for end-to-end context.
 
 // loadedChurnManager16 builds a 16×16 region-sharded mesh, admits a
 // churn-style resident population and returns the manager — the platform
 // state a steady-state admission snapshots against.
-func loadedChurnManager16(b *testing.B, cow bool) *manager.Manager {
+func loadedChurnManager16(b *testing.B) *manager.Manager {
 	plat := workload.SyntheticRegionPlatform(16, 16, 123, 4)
 	regions := plat.RegionCount()
 	m := manager.New(plat, core.Config{})
-	m.SetCoWSnapshots(cow)
 	m.SetMappingReuse(true)
 	resident := 0
 	for i := 0; i < 64; i++ {
@@ -49,12 +46,13 @@ func loadedChurnManager16(b *testing.B, cow bool) *manager.Manager {
 	return m
 }
 
-// benchmarkAdmissionSnapshot measures exactly the snapshot acquisition
-// the admission path performs per mapping round (manager.Snapshot is
-// that call; epoch sharing, when it hits, makes an admission cheaper
-// still by skipping even this).
-func benchmarkAdmissionSnapshot(b *testing.B, cow bool) {
-	m := loadedChurnManager16(b, cow)
+// BenchmarkAdmissionSnapshotCoW measures exactly the copy-on-write
+// snapshot acquisition the admission path performs per mapping round on
+// the churn workload at 16×16 (manager.Snapshot is that call; epoch
+// sharing, when it hits, makes an admission cheaper still by skipping
+// even this).
+func BenchmarkAdmissionSnapshotCoW(b *testing.B) {
+	m := loadedChurnManager16(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -62,18 +60,6 @@ func benchmarkAdmissionSnapshot(b *testing.B, cow bool) {
 			b.Fatal("nil snapshot")
 		}
 	}
-}
-
-// BenchmarkAdmissionSnapshotCoW: copy-on-write base-snapshot acquisition
-// on the churn workload at 16×16 — the acceptance side of the pair.
-func BenchmarkAdmissionSnapshotCoW(b *testing.B) {
-	benchmarkAdmissionSnapshot(b, true)
-}
-
-// BenchmarkAdmissionSnapshotDeepCopy: the pre-CoW deep copy under all
-// region locks, same platform state.
-func BenchmarkAdmissionSnapshotDeepCopy(b *testing.B) {
-	benchmarkAdmissionSnapshot(b, false)
 }
 
 // snapshotOnlyPlatform is a reservation-loaded 16×16 mesh for the raw
@@ -124,16 +110,14 @@ func BenchmarkSnapshotOnlyDeepCopy(b *testing.B) {
 	}
 }
 
-// benchmarkAdmissionChurn16 drives the full pipeline — snapshot,
-// speculative map, sharded commit, stop — on the 16×16 region-pinned
-// churn workload with the snapshot engine toggled, for end-to-end
-// context around the capture-only pair.
-func benchmarkAdmissionChurn16(b *testing.B, cow bool) {
+// BenchmarkAdmissionChurn16CoW drives the full pipeline — copy-on-write
+// epoch snapshot, speculative map, sharded commit, stop — on the 16×16
+// region-pinned churn workload, for end-to-end context around the
+// capture-only pair.
+func BenchmarkAdmissionChurn16CoW(b *testing.B) {
 	plat := workload.SyntheticRegionPlatform(16, 16, 123, 4)
 	regions := plat.RegionCount()
 	m := manager.New(plat, core.Config{})
-	m.SetCoWSnapshots(cow)
-	m.SetEpochSnapshots(cow)
 	m.SetMappingReuse(true)
 	warmCatalogue(b, m, func(s int) (*model.Application, *model.Library) {
 		return shardApp(s, regions)
@@ -167,16 +151,4 @@ func benchmarkAdmissionChurn16(b *testing.B, cow bool) {
 	<-collectorDone
 	b.StopTimer()
 	reportAdmissions(b, m, base)
-}
-
-// BenchmarkAdmissionChurn16CoW: the full admission pipeline at 16×16
-// with copy-on-write epoch snapshots (the default configuration).
-func BenchmarkAdmissionChurn16CoW(b *testing.B) {
-	benchmarkAdmissionChurn16(b, true)
-}
-
-// BenchmarkAdmissionChurn16DeepCopy: the same pipeline forced back to
-// per-admission deep-copy snapshots (the pre-CoW behaviour).
-func BenchmarkAdmissionChurn16DeepCopy(b *testing.B) {
-	benchmarkAdmissionChurn16(b, false)
 }
